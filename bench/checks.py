@@ -47,8 +47,9 @@ def _plane_tables(plane):
     return line_of, line_class, member
 
 
-def check_certificate(cert_path, host_edges, n, r, d, plane, stdout):
-    """Re-check a `color --out` certificate from the file alone."""
+def check_certificate(cert_path, host_edges, n, r, d, beta, plane, stdout):
+    """Re-check a `color --out` certificate from the file alone.  v0 must
+    be exactly the vertices of host degree >= r^2 d / (1 - beta)."""
     q = r - 2
     problems = []
     v0_tokens, part_lines, edge_lines = [], [], []
@@ -81,6 +82,9 @@ def check_certificate(cert_path, host_edges, n, r, d, plane, stdout):
     if (len(np.unique(parts[:, 0])) != len(parts) or len(parts) + len(v0) != n
             or np.any(in_v0[parts[:, 0]])):
         problems.append("vertices are not split exactly once into v0 and parts")
+    degree = np.bincount(host_edges.ravel(), minlength=n)
+    if not np.array_equal(in_v0, degree >= r * r * d / (1.0 - beta)):
+        problems.append("v0 is not the set of vertices of degree >= r^2 d / (1 - beta)")
 
     uv = np.sort(rows[:, :2], axis=1)
     order = np.lexsort((uv[:, 1], uv[:, 0]))
@@ -99,7 +103,8 @@ def check_certificate(cert_path, host_edges, n, r, d, plane, stdout):
         problems.append(f"{int(np.sum(colors != expected))} edges break the colour rules")
 
     rest = ~touches_v0
-    a_l = (member[:, pu[rest]] & member[:, pv[rest]]).sum(axis=1)
+    pu, pv = pu[rest], pv[rest]
+    a_l = np.array([np.count_nonzero(line[pu] & line[pv]) for line in member])
     threshold = n * d / 2.0
     if np.any(a_l >= threshold):
         problems.append(f"a line holds {int(a_l.max())} >= n*d/2 = {threshold} edges")

@@ -1,11 +1,10 @@
 """Benchmark of the pathramsey command line and library paths.
 
-Run one workload from the repository root, each in its own process so
-that peak memory belongs to it alone:
+Run one workload from the repository root, or all three with
+`--workload all`, each in its own process so that peak memory belongs
+to it alone:
 
-    for w in certify-large certify-search upper-bound; do
-        python3 bench/run.py --workload $w --seed 1 --seconds 30 --trace 0
-    done
+    python3 bench/run.py --workload all --seed 1 --seconds 30 --trace 0
 
 The program is imported from `src/` of the same checkout and driven
 in-process through `pathramsey.cli.main(argv)`, plus two library paths
@@ -17,28 +16,38 @@ Passes repeat until the timed passes add up to `--seconds`, each after
 a host-speed probe (`probe.py`).
 
 With `--trace 0` the last line of stdout is a JSON object with the
-end-to-end metrics: `setup_s` (median of repeated set-ups), `pass_norm`
-(total pass time over total probe time) and `peak_rss_mb`.  With `--trace 1`
-passes alternate untraced and traced and it holds the per-layer metrics
-instead (see `tracer.py`).  The lines above it give the raw median pass
-time, per-command medians and the error rate.  A run record, and in
-traced runs the spans, go to `bench/_run/records/`.
+end-to-end metrics: `setup_s` (median of repeated set-ups, each scaled
+to the reference host speed by a set-up probe timed beside it),
+`pass_norm` (total pass time over total probe time) and `peak_rss_mb`.
+With `--trace 1` passes alternate untraced and traced and it holds the
+per-layer metrics instead (see `tracer.py`).  The lines above it give
+the raw set-up and pass times, per-command medians and the error rate.
+A run record, and in traced runs the spans, go to `bench/_run/records/`.
+
+Peak RSS is meant to be the program's: input generation, the probes
+and the output checks run in forked children, and a run in which a
+probe or a check still raised this process's peak by more than
+`RSS_SLACK_KIB` is reported as not correct.
 """
 
 import argparse
+import functools
 import gc
 import hashlib
 import io
 import itertools
 import json
 import os
+import pickle
 import platform
 import random
 import resource
 import shutil
 import statistics
+import subprocess
 import sys
 import time
+import traceback
 from contextlib import redirect_stdout
 
 import numpy
@@ -49,13 +58,16 @@ from tracer import Tracer
 
 BENCH = os.path.dirname(os.path.abspath(__file__))
 ROOT = os.path.dirname(BENCH)
-SETUP_MIN_REPS, SETUP_MIN_S, SETUP_MAX_REPS = 3, 1.0, 50
+SETUP_MIN_REPS, SETUP_MIN_S, SETUP_MAX_REPS = 3, 1.0, 60
 MIN_PASSES = 3
+# The benchmark's own small objects in this process may raise the peak
+# RSS this much; more, and the run's peak is not the program's.
+RSS_SLACK_KIB = 1024
 
 # Why each workload exists; BENCHMARK.json carries the same lines.
 WORKLOADS = {
     "certify-large": dict(
-        n=100_000, m=200_000, r=11, d=4.0,
+        n=100_000, m=200_000, r=11, d=4.0, beta=0.5,
         why="color --r 11 --d 4.0 on G(n=1e5, m=2e5): threshold n*d/2 = m, so "
             "trial 1 succeeds; parse, HostGraph, colouring, confinement BFS and "
             "certificate write dominate"),
@@ -91,6 +103,47 @@ CALL_COUNTS = [
 ]
 UPPER_STEPS = ["optimize", "sample", "expand", "zero_pairs", "simplicity",
                "arrow_oracle"]
+
+
+def in_child(fn, *args):
+    """fn(*args) in a forked child, so that its memory never counts toward
+    this process's peak RSS.  Returns the result; a failure is re-raised.
+    A fork, not a fresh interpreter, so the child has the program and the
+    inputs already loaded; children make no BLAS calls."""
+    read_fd, write_fd = os.pipe()
+    pid = os.fork()
+    if pid == 0:
+        try:
+            os.close(read_fd)
+            try:
+                payload = pickle.dumps((True, fn(*args)))
+            except Exception:
+                payload = pickle.dumps((False, traceback.format_exc()))
+            with os.fdopen(write_fd, "wb") as fh:
+                fh.write(payload)
+        finally:
+            # Never return into the parent's stack, whatever was raised.
+            os._exit(0)
+    os.close(write_fd)
+    try:
+        with os.fdopen(read_fd, "rb") as fh:
+            data = fh.read()
+    finally:
+        _, status = os.waitpid(pid, 0)
+    if not data:
+        raise RuntimeError(f"forked child ended with wait status {status} and no result")
+    ok, value = pickle.loads(data)
+    if not ok:
+        raise RuntimeError(f"forked child failed:\n{value}")
+    return value
+
+
+def forked(method):
+    """Run a method in a forked child (see `in_child`)."""
+    @functools.wraps(method)
+    def wrapper(*args):
+        return in_child(method, *args)
+    return wrapper
 
 
 class Program:
@@ -141,39 +194,42 @@ class CertifyLarge:
         with open(self.host, "w") as fh:
             self.prog.graphs.write_edge_list(g, fh)
 
-    def prepare_checks(self):
-        from pathramsey.affine_plane import build_plane
-        self.host_edges, _ = self.checks.read_edges(self.host)
-        # The edge-list format has no vertex count: the graph the program
-        # reads has max label + 1 vertices, fewer than n when the top
-        # vertices of G(n, m) are isolated.
-        self.host_n = int(self.host_edges.max()) + 1
-        self.plane = build_plane(self.p["r"] - 2)
-
     def argv(self):
         return ["color", "--graph", self.host, "--r", str(self.p["r"]),
-                "--d", repr(self.p["d"]), "--seed", str(self.color_seed),
-                "--out", self.cert]
+                "--d", repr(self.p["d"]), "--beta", repr(self.p["beta"]),
+                "--seed", str(self.color_seed), "--out", self.cert]
 
     def steps(self):
         return [("color", lambda: self.prog.command(self.argv()), self.check)]
 
     def check(self, out):
+        """Problems of each operation: here one `color` call."""
         code, stdout = out
         if code != 0:
-            return 1, [f"color exited {code}: {stdout.strip()!r}"]
+            return [[f"color exited {code}: {stdout.strip()!r}"]]
         # Passes repeat the same argv; an output byte-identical to one that
         # passed the full check is correct without parsing it again.
         with open(self.cert, "rb") as fh:
-            digest = hashlib.sha256(fh.read() + stdout.encode()).digest()
-        if digest == self.verified:
-            return 1, []
-        problems = self.checks.check_certificate(
-            self.cert, self.host_edges, self.host_n, self.p["r"], self.p["d"],
-            self.plane, stdout)
+            digest = hashlib.file_digest(fh, "sha256")
+        digest.update(stdout.encode())
+        if digest.digest() == self.verified:
+            return [[]]
+        problems = self.verify(stdout)
         if not problems:
-            self.verified = digest
-        return 1, problems
+            self.verified = digest.digest()
+        return [problems]
+
+    @forked
+    def verify(self, stdout):
+        from pathramsey.affine_plane import build_plane
+        host_edges, _ = self.checks.read_edges(self.host)
+        # The edge-list format has no vertex count: the graph the program
+        # reads has max label + 1 vertices, fewer than n when the top
+        # vertices of G(n, m) are isolated.
+        host_n = int(host_edges.max()) + 1
+        return self.checks.check_certificate(
+            self.cert, host_edges, host_n, self.p["r"], self.p["d"], self.p["beta"],
+            build_plane(self.p["r"] - 2), stdout)
 
 
 class CertifySearch(CertifyLarge):
@@ -191,11 +247,9 @@ class CertifySearch(CertifyLarge):
                 "--d", repr(d), "--seed", str(self.color_seed),
                 "--trials", str(self.p["trials"])]
 
-    def prepare_checks(self):
-        pass
-
+    @forked
     def check(self, out):
-        return 1, self.checks.check_search_failure(*out, self.p["trials"])
+        return [self.checks.check_search_failure(*out, self.p["trials"])]
 
 
 class UpperBound:
@@ -220,9 +274,6 @@ class UpperBound:
                 for u, v in itertools.combinations(range(n), 2):
                     fh.write(f"{u} {v}\n")
 
-    def prepare_checks(self):
-        pass
-
     def steps(self):
         return [("optimize", self.optimize, self.check_optimize),
                 ("sample", self.sample, self.check_sample),
@@ -235,9 +286,10 @@ class UpperBound:
         return [self.prog.command(["optimize", "--r", str(r)])
                 for r in self.p["r_values"]]
 
+    @forked
     def check_optimize(self, outs):
-        return len(outs), [x for r, out in zip(self.p["r_values"], outs)
-                           for x in self.checks.check_optimize(*out, r)]
+        return [self.checks.check_optimize(*out, r)
+                for r, out in zip(self.p["r_values"], outs)]
 
     def sample(self):
         p = self.p
@@ -250,13 +302,14 @@ class UpperBound:
              "--out", self.simple])
         return multi, simple
 
+    @forked
     def check_sample(self, outs):
         p, (multi, simple) = self.p, outs
-        return 2, (self.checks.check_bipartite_sample(
-                       self.multi, *multi, p["side"], p["degree"], regular=False)
-                   + self.checks.check_bipartite_sample(
-                       self.simple, *simple, p["simple_side"], p["simple_degree"],
-                       regular=True))
+        return [self.checks.check_bipartite_sample(
+                    self.multi, *multi, p["side"], p["degree"], regular=False),
+                self.checks.check_bipartite_sample(
+                    self.simple, *simple, p["simple_side"], p["simple_degree"],
+                    regular=True)]
 
     def expand(self):
         return self.prog.command(
@@ -264,19 +317,21 @@ class UpperBound:
              "--mode", "sampled", "--samples", str(self.p["samples"]),
              "--seed", str(self.expand_seed)])
 
+    @forked
     def check_expand(self, out):
-        return 1, self.checks.check_expand(*out, self.p["samples"])
+        return [self.checks.check_expand(*out, self.p["samples"])]
 
     def zero_pairs(self):
         with open(self.simple) as fh:
             g = self.prog.graphs.read_edge_list(fh)
         return self.prog.arrowing.count_zero_pairs(g, self.p["zero_s"])
 
+    @forked
     def check_zero_pairs(self, count):
         edges, _ = self.checks.read_edges(self.simple)
         want = self.checks.zero_pairs_oracle(edges, self.p["simple_side"],
                                              self.p["zero_s"])
-        return 1, [] if count == want else [f"count_zero_pairs {count} != {want}"]
+        return [[] if count == want else [f"count_zero_pairs {count} != {want}"]]
 
     def simplicity(self):
         pairing, side, draws = self.prog.pairing, self.p["sweep_side"], self.p["sweep_draws"]
@@ -284,10 +339,10 @@ class UpperBound:
                     for i in range(draws))
                 for degree, base in zip(self.p["sweep_degrees"], self.sweep_seeds)]
 
+    @forked
     def check_simplicity(self, simple_counts):
-        return len(simple_counts), [
-            x for degree, simple in zip(self.p["sweep_degrees"], simple_counts)
-            for x in self.checks.check_simple_rate(simple, self.p["sweep_draws"], degree)]
+        return [self.checks.check_simple_rate(simple, self.p["sweep_draws"], degree)
+                for degree, simple in zip(self.p["sweep_degrees"], simple_counts)]
 
     def arrow_oracle(self):
         return [self.prog.command(
@@ -295,18 +350,20 @@ class UpperBound:
                      "--path-vertices", str(k), "--colors", str(c)])
                 for n, k, c in self.p["oracles"]]
 
+    @forked
     def check_arrow_oracle(self, outs):
-        return len(outs), [x for out in outs for x in self.checks.check_arrows(*out)]
+        return [self.checks.check_arrows(*out) for out in outs]
 
 
 KINDS = {"certify-large": CertifyLarge, "certify-search": CertifySearch,
          "upper-bound": UpperBound}
 
 
-def run_pass(work, tracer=None):
+def run_pass(work, mark_rss, tracer=None):
     """Time each step of one pass, then check its outputs untimed.
-    Returns (step seconds by name, operations, problems)."""
-    times, ops, problems = {}, 0, []
+    Returns (step seconds by name, operations, failed operations,
+    problems)."""
+    times, ops, failed, problems = {}, 0, 0, []
     for name, run, check in work.steps():
         start = time.perf_counter()
         if tracer is None:
@@ -315,10 +372,13 @@ def run_pass(work, tracer=None):
             with tracer.span("step." + name):
                 out = run()
         times[name] = time.perf_counter() - start
-        n, found = check(out)
-        ops += n
-        problems += found
-    return times, ops, problems
+        mark_rss("step." + name)
+        per_op = check(out)
+        mark_rss("check." + name)
+        ops += len(per_op)
+        failed += sum(1 for found in per_op if found)
+        problems += [f"{name}: {p}" for found in per_op for p in found]
+    return times, ops, failed, problems
 
 
 def layer_metrics(tracer, number):
@@ -359,24 +419,14 @@ def per_layer_units():
 
 
 def git_commit(root):
-    """The checked-out commit read from .git, or "unknown" outside a clone."""
+    """The checked-out commit, or "unknown" outside a clone."""
     try:
-        with open(os.path.join(root, ".git", "HEAD")) as fh:
-            head = fh.read().strip()
-        if not head.startswith("ref: "):
-            return head
-        ref = head[5:]
-        ref_path = os.path.join(root, ".git", ref)
-        if os.path.exists(ref_path):
-            with open(ref_path) as fh:
-                return fh.read().strip()
-        with open(os.path.join(root, ".git", "packed-refs")) as fh:
-            for line in fh:
-                if line.rstrip().endswith(" " + ref):
-                    return line.split()[0]
+        out = subprocess.run(
+            ["git", "rev-parse", "HEAD"], cwd=root, capture_output=True, text=True,
+            env=dict(os.environ, GIT_CEILING_DIRECTORIES=os.path.dirname(root)))
     except OSError:
-        pass
-    return "unknown"
+        return "unknown"
+    return out.stdout.strip() if out.returncode == 0 else "unknown"
 
 
 def run(workload, seed, seconds, trace, params=None,
@@ -395,46 +445,63 @@ def run(workload, seed, seconds, trace, params=None,
 
     workdir = os.path.join(workdir_base, f"{workload}-{seed}-{os.getpid()}")
     os.makedirs(workdir, exist_ok=True)
+    rss_log = []                        # (phase, ru_maxrss in KiB after it)
+
+    def mark_rss(phase):
+        rss_log.append((phase, resource.getrusage(resource.RUSAGE_SELF).ru_maxrss))
+
     try:
         # Set-up is the program's import (numpy is already loaded) plus
-        # input generation, repeated for a steady median.
-        setup_times = []
+        # input generation, repeated for a steady median.  Generation runs
+        # in a child: its graph is the benchmark's, not the program's.
+        setup_times, setup_probes = [], []
         while (len(setup_times) < SETUP_MIN_REPS or sum(setup_times) < SETUP_MIN_S) \
                 and len(setup_times) < SETUP_MAX_REPS:
             gc.collect()
             start = time.perf_counter()
             prog = Program(ROOT)
             work = KINDS[workload](prog, checks, probe, params, workdir, seed)
-            work.generate()
+            in_child(work.generate)
             setup_times.append(time.perf_counter() - start)
-        work.prepare_checks()
+            setup_probes.append(in_child(probe.setup))
+        mark_rss("setup")
 
         tracer = Tracer() if trace else None
         untraced, traced = [], []       # (pass number, probe seconds, step times)
-        attempted, problems, measured = 0, [], 0.0
+        attempted, failed, problems, measured = 0, 0, [], 0.0
         while len(untraced) + len(traced) < MIN_PASSES or measured < seconds:
             number = len(untraced) + len(traced)
             gc.collect()
-            start = time.perf_counter()
-            work.probe()
-            probe_s = time.perf_counter() - start
+            probe_s = in_child(work.probe)
+            mark_rss("probe")
             gc.collect()
             if trace and number % 2 == 1:
                 tracer.begin_pass(number)
                 tracer.install()
                 try:
-                    times, ops, found = run_pass(work, tracer)
+                    times, ops, bad, found = run_pass(work, mark_rss, tracer)
                 finally:
                     tracer.uninstall()
                 traced.append((number, probe_s, times))
             else:
-                times, ops, found = run_pass(work)
+                times, ops, bad, found = run_pass(work, mark_rss)
                 untraced.append((number, probe_s, times))
             measured += sum(times.values())
             attempted += ops
+            failed += bad
             problems += [f"pass {number}: {p}" for p in found]
     finally:
         shutil.rmtree(workdir, ignore_errors=True)
+
+    # ru_maxrss only grows: each phase raised the peak by its step in the log.
+    peak_kib = rss_log[-1][1]
+    peak_phase = next(phase for phase, kib in rss_log if kib == peak_kib)
+    harness_kib = sum(kib - before for (phase, kib), (_, before) in zip(rss_log[1:], rss_log)
+                      if phase.startswith(("probe", "check")))
+    invalid = None
+    if harness_kib > RSS_SLACK_KIB:
+        invalid = (f"probes and checks raised the peak RSS by {harness_kib / 1024:.2f} MiB, "
+                   f"more than {RSS_SLACK_KIB / 1024:.0f} MiB")
 
     def median_of(passes, step=None):
         return statistics.median(
@@ -444,13 +511,16 @@ def run(workload, seed, seconds, trace, params=None,
     probe_s = statistics.median(p for _, p, _ in untraced)
     units = {"setup_s": "s", "pass_norm": "x", "peak_rss_mb": "MiB"}
     metrics = {
-        "setup_s": statistics.median(setup_times),
+        # Each set-up in seconds at the reference host speed, by the
+        # set-up probe timed right after it.
+        "setup_s": statistics.median(
+            t * probe.SETUP_REFERENCE_S / p for t, p in zip(setup_times, setup_probes)),
         # Probes alternate with passes, so total pass time over total
         # probe time divides out the host speed of the whole run; ratios
         # of minima or medians hang on a few lucky or slow seconds.
         "pass_norm": (sum(sum(t.values()) for _, _, t in untraced)
                       / sum(p for _, p, _ in untraced)),
-        "peak_rss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024,
+        "peak_rss_mb": peak_kib / 1024,
     }
     step_s = {f"{name}_s": median_of(untraced, name)
               for name, _, _ in work.steps()}
@@ -462,15 +532,19 @@ def run(workload, seed, seconds, trace, params=None,
         metrics["trace.overhead_s"] = median_of(traced) - pass_s
         metrics.update({f"cmd.{step}_s": step_s.get(f"{step}_s", 0.0)
                         for step in UPPER_STEPS})
-        record["absent_layers"] = tracer.absent
+        record["absent_layers"] = sorted(tracer.absent)
     record.update({
-        "setup_runs_s": setup_times,
+        "setup_runs_s": setup_times, "setup_probes_s": setup_probes,
+        "setup_raw_s": statistics.median(setup_times),
+        "rss_after_setup_mb": rss_log[0][1] / 1024, "rss_peak_phase": peak_phase,
+        "rss_raised_by_harness_mb": harness_kib / 1024,
+        "invalid": invalid,
         "passes_untraced": [t for _, _, t in untraced],
         "passes_traced": [t for _, _, t in traced],
         "probes_s": [p for _, p, _ in untraced + traced],
         "pass_s": pass_s, "probe_s": probe_s, "step_medians_s": step_s,
-        "attempted": attempted, "failed": len(problems),
-        "error_rate": len(problems) / attempted, "problems": problems,
+        "attempted": attempted, "failed": failed,
+        "error_rate": failed / attempted, "problems": problems,
         "metrics": {k: {"value": v, "unit": units[k]} for k, v in metrics.items()},
     })
     records = os.path.join(workdir_base, "records")
@@ -491,6 +565,7 @@ def report(record):
           f"passes={passes} commit={record['commit'][:12]} nproc={record['nproc']} "
           f"python={record['python']} numpy={record['numpy']} "
           f"load={record['loadavg_start'][0]:.2f}")
+    print(f"  {'setup_raw_s':<40} {record['setup_raw_s']:12.6f} s (median of set-ups)")
     for name in ("pass_s", "probe_s"):
         print(f"  {name:<40} {record[name]:12.6f} s (median of untraced passes)")
     if len(record["step_medians_s"]) > 1:
@@ -504,18 +579,28 @@ def report(record):
         print(f"  FAILED {problem}")
     for name in record.get("absent_layers", []):
         print(f"  layer absent: {name}")
+    print(f"  peak RSS first reached after {record['rss_peak_phase']}; probes and checks "
+          f"raised it by {record['rss_raised_by_harness_mb']:.2f} MiB")
+    if record["invalid"]:
+        print(f"  INVALID {record['invalid']}")
     print(json.dumps({
-        "correct": record["failed"] == 0, "attempted": record["attempted"],
+        "correct": record["failed"] == 0 and not record["invalid"],
+        "attempted": record["attempted"],
         "failed": record["failed"], "metrics": record["metrics"]}))
 
 
 def main(argv=None):
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    ap.add_argument("--workload", choices=sorted(WORKLOADS), required=True)
+    ap.add_argument("--workload", choices=sorted(WORKLOADS) + ["all"], required=True)
     ap.add_argument("--seed", type=int, required=True)
     ap.add_argument("--seconds", type=float, required=True)
     ap.add_argument("--trace", type=int, choices=(0, 1), default=0)
     args = ap.parse_args(argv)
+    if args.workload == "all":
+        return max(subprocess.run(
+            [sys.executable, os.path.abspath(__file__), "--workload", name,
+             "--seed", str(args.seed), "--seconds", str(args.seconds),
+             "--trace", str(args.trace)]).returncode for name in WORKLOADS)
     try:
         record = run(args.workload, args.seed, args.seconds, bool(args.trace))
     except ImportError as exc:

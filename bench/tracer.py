@@ -74,7 +74,7 @@ class Tracer:
     def __init__(self):
         self.spans = []           # [pass, name, start, end, parent index]
         self.counts = {}          # pass -> Counter
-        self.absent = []
+        self.absent = set()
         self._pass = None
         self._stack = []
         self._patches = []        # (owner, attribute, original)
@@ -131,7 +131,7 @@ class Tracer:
             owner = getattr(module, owner_name, None) if owner_name else module
             original = vars(owner).get(attr) if owner is not None else None
             if original is None:
-                self.absent.append(name)
+                self.absent.add(name)
                 continue
             wrapper = self._wrap(name, original, kind)
             if owner_name:

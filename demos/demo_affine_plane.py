@@ -27,9 +27,13 @@ for cls in plane.classes:
 print("every point pair lies on exactly one line; every class "
       "partitions the point set")
 
-# the line through two points decides an edge color in the adversary
+# the line through two points decides an edge color in the adversary;
+# the lookup tables answer it without searching the line listing
 x, y = 2, 9
-line = plane.line_through(x, y)
-print(f"\nline through parts {x} and {y}: {sorted(plane.lines[line])} "
-      f"(class {plane.class_of(line) + 1}, so edge color "
-      f"{plane.class_color(line)})")
+line = plane.line_of[x, y]
+color = line // plane.q + 1
+print(f"\nline through parts {x} and {y}: line_of[{x}, {y}] = {line}, "
+      f"points {sorted(plane.lines[line])}, in class {color}; an edge "
+      f"between these parts gets color {color}")
+print(f"lines through point {x}, one per class: "
+      f"point_line[:, {x}] = {plane.point_line[:, x].tolist()}")

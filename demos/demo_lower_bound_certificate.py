@@ -7,6 +7,8 @@ The resulting coloring avoids a long monochromatic path in each of the
 first q+1 colors, which is what the closed-form lower bound certifies.
 """
 
+import numpy as np
+
 from pathramsey import (AdversaryParams, build_plane, check_confinement,
                         find_certificate, lower_bound_path_power,
                         power_of_path)
@@ -30,10 +32,13 @@ print(f"line edge counts: {counts.a_l.tolist()}")
 print(f"all below threshold n*d/2 = {counts.threshold:.1f} "
       f"(expectation per line {counts.expectation:.1f})")
 
-report = check_confinement(result.coloring)
+col = result.coloring
+report = check_confinement(col)
 print(f"confinement: every monochromatic component of colors 1..{params.q + 1} "
       f"sits inside one line's part union "
-      f"({report.checked_components} components checked)")
+      f"({report.checked_edges} edges checked, {len(report.failures)} failing)")
+print(f"edges per color 1..{params.r}: "
+      f"{np.bincount(col.colors, minlength=params.r + 1)[1:].tolist()}")
 
 bound = lower_bound_path_power(params.r, n, k, params.C)
 print(f"\ncertified lower bound on the {params.r}-color size Ramsey number "

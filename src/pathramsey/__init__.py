@@ -4,7 +4,7 @@ path-type size Ramsey bounds."""
 from .adversary import (AdversaryParams, Coloring, LineCounts, check_confinement,
                         color_edges, count_lines, find_certificate,
                         random_partition, split_v0)
-from .affine_plane import AffinePlane, build_plane, class_of, line_through
+from .affine_plane import AffinePlane, build_plane
 from .arrowing import (ExpansionSpec, arrow_bruteforce, check_expansion,
                        count_zero_pairs, subset_size_for)
 from .bounds import (TailBound, loose_tail, lower_bound_general,

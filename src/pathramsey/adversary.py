@@ -48,11 +48,10 @@ class AdversaryParams:
 
 @dataclass
 class Coloring:
-    graph: HostGraph
-    v0: frozenset
-    parts: dict                 # vertex -> part label in 1..q^2 (outside v0)
-    edge_colors: dict           # (u, v) sorted -> color in 1..r
     plane: AffinePlane
+    parts: np.ndarray           # vertex -> part label in 1..q^2, 0 for v0
+    edges: np.ndarray           # the host's (m, 2) edge array, sorted
+    colors: np.ndarray          # colors[i] in 1..r is the color of edges[i]
 
     @property
     def r(self) -> int:
@@ -73,8 +72,8 @@ class LineCounts:
 @dataclass
 class ConfinementReport:
     ok: bool
-    checked_components: int
-    failures: list = field(default_factory=list)  # (color, component vertices)
+    checked_edges: int          # edges of colors 1..q+1
+    failures: list = field(default_factory=list)  # (color, u, v) per bad edge
 
 
 @dataclass
@@ -95,96 +94,86 @@ def split_v0(g: HostGraph, params: AdversaryParams):
     return v0, rest
 
 
-def random_partition(rest, q: int, seed) -> dict:
-    """Assign each vertex independently and uniformly to a part 1..q^2."""
+def random_partition(n: int, rest, q: int, seed) -> np.ndarray:
+    """Per-vertex part array: each vertex of `rest` independently and
+    uniformly in 1..q^2, every other vertex 0 (v0)."""
     if q < 2:
         raise ValueError("need q >= 2")
     rng = np.random.default_rng(seed)
-    labels = rng.integers(1, q * q + 1, size=len(rest))
-    return {v: int(x) for v, x in zip(rest, labels)}
+    parts = np.zeros(n, dtype=np.int64)
+    parts[np.asarray(rest, dtype=np.int64)] = rng.integers(1, q * q + 1,
+                                                          size=len(rest))
+    return parts
 
 
-def color_edges(g: HostGraph, v0, parts, plane: AffinePlane) -> Coloring:
-    """Apply the three coloring rules; intra-part edges get color 1."""
+def color_edges(g: HostGraph, parts, plane: AffinePlane) -> Coloring:
+    """Apply the three coloring rules: edges touching v0 (part 0) get
+    color r, intra-part edges color 1, and a cross-part edge the 1-based
+    class of the line through its endpoint parts."""
     q = plane.q
-    r = q + 2
-    n_parts = q * q
-    for v, x in parts.items():
-        if not 1 <= x <= n_parts:
-            raise ValueError(f"part label {x} for vertex {v} outside 1..{n_parts}")
-    v0 = frozenset(v0)
-    colors = {}
-    for (u, v) in g.edges:
-        if u in v0 or v in v0:
-            colors[(u, v)] = r
-            continue
-        x, y = parts[u], parts[v]
-        if x == y:
-            colors[(u, v)] = 1
-        else:
-            colors[(u, v)] = plane.class_color(plane.line_through(x, y))
-    return Coloring(graph=g, v0=v0, parts=dict(parts),
-                    edge_colors=colors, plane=plane)
+    parts = np.asarray(parts, dtype=np.int64)
+    if parts.shape != (g.n,):
+        raise ValueError(f"part array has shape {parts.shape}; every one of "
+                         f"the {g.n} vertices needs a part or 0 for v0")
+    bad = np.flatnonzero((parts < 0) | (parts > q * q))
+    if bad.size:
+        v = int(bad[0])
+        raise ValueError(f"part label {parts[v]} for vertex {v} outside 0..{q * q}")
+    edges = g.edge_array()
+    pu, pv = parts[edges[:, 0]], parts[edges[:, 1]]
+    colors = np.where(pu == pv, 1, plane.line_of[pu, pv] // q + 1)
+    colors[(pu == 0) | (pv == 0)] = q + 2
+    return Coloring(plane, parts, edges, colors.astype(np.int8))
 
 
 def check_confinement(col: Coloring) -> ConfinementReport:
-    """Verify every component of each color class 1..q+1 sits inside the
-    part union of a single line of that class."""
-    plane = col.plane
-    q = plane.q
-    failures = []
-    checked = 0
-    for color in range(1, q + 2):
-        adj = {}
-        for (u, v), c in col.edge_colors.items():
-            if c != color:
-                continue
-            adj.setdefault(u, []).append(v)
-            adj.setdefault(v, []).append(u)
-        seen = set()
-        class_lines = [set(plane.lines[i]) for i in plane.classes[color - 1]]
-        for s in adj:
-            if s in seen:
-                continue
-            stack = [s]
-            seen.add(s)
-            comp = [s]
-            while stack:
-                u = stack.pop()
-                for w in adj[u]:
-                    if w not in seen:
-                        seen.add(w)
-                        comp.append(w)
-                        stack.append(w)
-            checked += 1
-            comp_parts = {col.parts[v] for v in comp}
-            if not any(comp_parts <= line for line in class_lines):
-                failures.append((color, sorted(comp)))
-    return ConfinementReport(ok=not failures, checked_components=checked,
+    """Verify every component of each color class c in 1..q+1 sits inside
+    the part union of a single line of class c.
+
+    Checked edge by edge: both endpoints must have parts on the same
+    class-c line.  This is exact because the class-c lines partition the
+    points, so a component lies in one line's part union iff the class-c
+    line of its vertices' parts never changes along an edge.  An edge of
+    color <= q+1 touching v0 fails, as v0 has no part.
+    """
+    q = col.plane.q
+    sel = np.flatnonzero((col.colors >= 1) & (col.colors <= q + 1))
+    c = col.colors[sel].astype(np.int64) - 1
+    pu, pv = col.parts[col.edges[sel, 0]], col.parts[col.edges[sel, 1]]
+    line_u, line_v = col.plane.point_line[c, pu], col.plane.point_line[c, pv]
+    bad = sel[(line_u != line_v) | (pu == 0) | (pv == 0)]
+    failures = [(color, u, v) for color, (u, v) in
+                zip(col.colors[bad].tolist(), col.edges[bad].tolist())]
+    return ConfinementReport(ok=not failures, checked_edges=int(sel.size),
                              failures=failures)
 
 
-def _parts_array(g: HostGraph, v0, parts) -> np.ndarray:
-    """Per-vertex part labels, 0 for v0 vertices."""
-    arr = np.zeros(g.n, dtype=np.int64)
-    for v, x in parts.items():
-        arr[v] = x
-    for v in v0:
-        arr[v] = 0
-    return arr
-
 def _line_counts_from_arrays(edge_arr, part_arr, plane: AffinePlane) -> np.ndarray:
-    q = plane.q
-    counts = np.zeros(plane.n_lines, dtype=np.int64)
-    if edge_arr.shape[0] == 0:
-        return counts
+    """Edge count inside each line's part union: cross-part edges count
+    for the line through their parts, intra-part edges for every line
+    through their part; edges touching v0 (part 0) count nowhere."""
     pu = part_arr[edge_arr[:, 0]]
     pv = part_arr[edge_arr[:, 1]]
-    for idx, line in enumerate(plane.lines):
-        member = np.zeros(q * q + 1, dtype=bool)
-        member[list(line)] = True
-        counts[idx] = int(np.count_nonzero(member[pu] & member[pv]))
-    return counts
+    cross = plane.line_of[pu, pv]
+    intra = np.bincount(pu[pu == pv], minlength=plane.n_points + 1)
+    return (np.bincount(cross[cross >= 0], minlength=plane.n_lines)
+            + intra[np.asarray(plane.lines)].sum(axis=1))
+
+
+def _line_counts(col: Coloring, a_l, params: AdversaryParams | None,
+                 n: int) -> LineCounts:
+    """LineCounts for A_L values already counted; the expectation is the
+    number of edges with both endpoints outside v0 over q^2."""
+    q = col.plane.q
+    rest_edges = int(np.count_nonzero(col.parts[col.edges].all(axis=1)))
+    if params is not None:
+        gamma = params.C * math.sqrt(n) / (q * q)
+        threshold = n * params.d / 2.0
+    else:
+        gamma = math.nan
+        threshold = math.nan
+    return LineCounts(a_l=a_l, expectation=rest_edges / (q * q), gamma=gamma,
+                      threshold=threshold)
 
 
 def count_lines(col: Coloring, plane: AffinePlane | None = None,
@@ -192,21 +181,8 @@ def count_lines(col: Coloring, plane: AffinePlane | None = None,
                 n: int | None = None) -> LineCounts:
     """Edge count inside each line's part union (v0 edges excluded)."""
     plane = plane or col.plane
-    part_arr = _parts_array(col.graph, col.v0, col.parts)
-    a_l = _line_counts_from_arrays(col.graph.edge_array(), part_arr, plane)
-    q = plane.q
-    rest_edges = sum(1 for (u, v) in col.graph.edges
-                     if u not in col.v0 and v not in col.v0)
-    expectation = rest_edges / (q * q)
-    n = n if n is not None else col.graph.n
-    if params is not None:
-        gamma = params.C * math.sqrt(n) / (q * q)
-        threshold = n * params.d / 2.0
-    else:
-        gamma = math.nan
-        threshold = math.nan
-    return LineCounts(a_l=a_l, expectation=expectation, gamma=gamma,
-                      threshold=threshold)
+    a_l = _line_counts_from_arrays(col.edges, col.parts, plane)
+    return _line_counts(col, a_l, params, col.parts.size if n is None else n)
 
 
 def default_max_trials(g: HostGraph, params: AdversaryParams, rest_size: int) -> int:
@@ -248,27 +224,20 @@ def find_certificate(g: HostGraph, params: AdversaryParams, plane: AffinePlane,
 
     edge_arr = g.edge_array()
     rest_arr = np.asarray(rest, dtype=np.int64)
-    q = params.q
     worst = -math.inf
     for trial in range(max_trials):
-        trial_seed = params.seed + trial
-        rng = np.random.default_rng(trial_seed)
-        labels = rng.integers(1, q * q + 1, size=len(rest))
-        part_arr = np.zeros(n, dtype=np.int64)
-        part_arr[rest_arr] = labels
-        a_l = _line_counts_from_arrays(edge_arr, part_arr, plane)
-        margin = threshold - (a_l.max() if a_l.size else 0)
+        parts = random_partition(n, rest_arr, params.q, params.seed + trial)
+        a_l = _line_counts_from_arrays(edge_arr, parts, plane)
+        margin = threshold - a_l.max()
         worst = max(worst, margin) if math.isfinite(worst) else margin
         if np.all(a_l < threshold):
-            parts = {v: int(x) for v, x in zip(rest, labels)}
-            col = color_edges(g, v0, parts, plane)
+            col = color_edges(g, parts, plane)
             report = check_confinement(col)
             assert report.ok, "confinement claim failed on a produced coloring"
-            color_r_edges = [(u, v) for (u, v), c in col.edge_colors.items()
-                             if c == params.r]
-            assert all(u in v0 or v in v0 for u, v in color_r_edges), \
+            assert np.all((col.colors != params.r)
+                          | (parts[edge_arr] == 0).any(axis=1)), \
                 "a color-r edge avoids v0"
-            counts = count_lines(col, plane, params)
+            counts = _line_counts(col, a_l, params, n)
             return CertificateResult(True, col, counts, trial + 1,
                                      margin, params.seed)
     return CertificateResult(False, None, None, max_trials, worst, params.seed)

@@ -3,10 +3,15 @@
 Points are coordinate pairs over GF(q) carrying the 1-based label
 enc(x) * q + enc(y) + 1, where enc is the deterministic field element
 enumeration.  Lines with the same slope form a parallel class; the
-vertical lines x = const are the final class.
+vertical lines x = const are the final class, and line i belongs to
+class i // q.  Two int tables over the labels 0..q^2 answer incidence
+queries in array code; label 0 stands for "no point" (the adversary's
+v0 vertices) and maps to -1.
 """
 
 from dataclasses import dataclass, field
+
+import numpy as np
 
 from .finite_field import field_for_order
 
@@ -21,7 +26,11 @@ class AffinePlane:
     # lines[i] = sorted tuple of point labels; classes[c] = tuple of line indices
     lines: tuple
     classes: tuple
-    _line_of_pair: dict = field(repr=False, default_factory=dict)
+    # line_of[a, b] = index of the line through labels a != b; -1 when
+    # a == b or either label is 0
+    line_of: np.ndarray = field(repr=False, compare=False)
+    # point_line[c, x] = index of the class-c line through label x; -1 at x = 0
+    point_line: np.ndarray = field(repr=False, compare=False)
 
     @property
     def n_points(self) -> int:
@@ -38,17 +47,13 @@ class AffinePlane:
         for v in (a, b):
             if not 1 <= v <= self.n_points:
                 raise ValueError(f"point label {v} outside 1..{self.n_points}")
-        return self._line_of_pair[(a, b) if a < b else (b, a)]
+        return int(self.line_of[a, b])
 
     def class_of(self, line_index: int) -> int:
         """Parallel class (0-based) containing the line."""
         if not 0 <= line_index < self.n_lines:
             raise ValueError(f"line index {line_index} outside 0..{self.n_lines - 1}")
         return line_index // self.q
-
-    def class_color(self, line_index: int) -> int:
-        """1-based class index, directly usable as an edge color."""
-        return self.class_of(line_index) + 1
 
 
 def build_plane(q: int) -> AffinePlane:
@@ -84,21 +89,18 @@ def build_plane(q: int) -> AffinePlane:
         lines.append(tuple(pts))
     classes.append(tuple(range(start, len(lines))))
 
-    lookup = {}
+    line_of = np.full((q * q + 1, q * q + 1), -1, dtype=np.int64)
+    point_line = np.full((q + 1, q * q + 1), -1, dtype=np.int64)
     for idx, line in enumerate(lines):
-        for i in range(len(line)):
-            for j in range(i + 1, len(line)):
-                lookup[(line[i], line[j])] = idx
+        pts = np.asarray(line)
+        line_of[np.ix_(pts, pts)] = idx
+        point_line[idx // q, pts] = idx
+    np.fill_diagonal(line_of, -1)
+    line_of.flags.writeable = False
+    point_line.flags.writeable = False
 
-    return AffinePlane(q, tuple(coords), tuple(lines), tuple(classes), lookup)
-
-
-def line_through(plane: AffinePlane, a: int, b: int) -> int:
-    return plane.line_through(a, b)
-
-
-def class_of(plane: AffinePlane, line_index: int) -> int:
-    return plane.class_of(line_index)
+    return AffinePlane(q, tuple(coords), tuple(lines), tuple(classes),
+                       line_of, point_line)
 
 
 def classes_as_point_sets(plane: AffinePlane):

@@ -13,6 +13,8 @@ import json
 import math
 import sys
 
+import numpy as np
+
 from . import adversary, arrowing, bounds, first_moment, pairing
 from .affine_plane import build_plane
 from .graphs import read_edge_list, write_edge_list
@@ -68,11 +70,13 @@ def cmd_color(args):
     if args.out:
         with open(args.out, "w") as fh:
             fh.write(f"# certificate seed={params.seed} trial={result.trials_used}\n")
-            fh.write("v0 " + " ".join(map(str, sorted(col.v0))) + "\n")
-            for v in sorted(col.parts):
-                fh.write(f"part {v} {col.parts[v]}\n")
-            for (u, v), c in sorted(col.edge_colors.items()):
-                fh.write(f"{u} {v} {c}\n")
+            v0 = np.flatnonzero(col.parts == 0).tolist()
+            fh.write("v0 " + " ".join(map(str, v0)) + "\n")
+            rest = np.flatnonzero(col.parts)
+            fh.writelines(f"part {v} {x}\n" for v, x in
+                          zip(rest.tolist(), col.parts[rest].tolist()))
+            fh.writelines(f"{u} {v} {c}\n" for (u, v), c in
+                          zip(col.edges.tolist(), col.colors.tolist()))
     if args.counts_out:
         with open(args.counts_out, "w", newline="") as fh:
             w = csv.writer(fh)

@@ -50,13 +50,10 @@ def g_affine_parts(r: int, c: float):
 
 def g_rate(r: int, c: float, d: float) -> float:
     """Exponential growth rate of the expected bad-pair count."""
-    c1 = _check_domain(r, c, d)
-    return (2 * c * math.log(c)
-            + 2 * (c - c1) * d * math.log(c - c1)
-            - 2 * c1 * math.log(c1)
-            - 2 * (c - c1) * math.log(c - c1)
-            - (c - 2 * c1) * d * math.log(c - 2 * c1)
-            - c * d * math.log(c))
+    if d <= 0:
+        raise ValueError("d must be positive")
+    A, B = g_affine_parts(r, c)
+    return A + d * B
 
 
 def f_prefactor(r: int, c: float, d: float, n: float) -> float:
@@ -130,8 +127,10 @@ def optimize_constants(r: int, tolerance: float = 1e-9,
                        scan_points: int = 4000) -> OptimizationResult:
     """Minimize c*d subject to g(c, d) <= 0.
 
-    A coarse scan over c brackets the minimum of c * d(c) on the binding
-    curve; golden-section search then refines c to the tolerance.
+    A coarse scan over c in (lo, 41*lo] brackets the minimum of c * d(c)
+    on the binding curve; golden-section search then refines c to the
+    tolerance.  A minimum at the scan's upper edge raises ValueError
+    instead of being returned clipped to the edge.
     """
     if r < 3:
         raise ValueError("need r >= 3")
@@ -142,8 +141,11 @@ def optimize_constants(r: int, tolerance: float = 1e-9,
     best = min(range(len(cs)), key=lambda i: vals[i])
     if not math.isfinite(vals[best]):
         raise ValueError(f"empty feasible region for r = {r}")
+    if best == len(cs) - 1:
+        raise ValueError(f"minimum of c*d for r = {r} is at the scan edge "
+                         f"c = {cs[-1]}; the true minimum lies beyond it")
     a = cs[best - 1] if best > 0 else lo + 1e-12
-    b = cs[best + 1] if best + 1 < len(cs) else cs[-1]
+    b = cs[best + 1]
     trace.append(("scan", cs[best], vals[best]))
 
     x1 = b - GOLDEN * (b - a)

@@ -12,6 +12,7 @@ import sys
 import numpy as np
 import pytest
 
+import reference
 from pathramsey.adversary import (AdversaryParams, _line_counts_from_arrays,
                                   check_confinement, color_edges,
                                   find_certificate, random_partition, split_v0)
@@ -93,6 +94,8 @@ def test_criterion_1_affine_planes():
 
 def test_criterion_2_coloring_soundness():
     planes = {r: build_plane(r - 2) for r in (4, 5, 6)}
+    # the rule oracle looks lines up in a dict built from the line listing
+    pair_line = {r: reference.line_of_pair(p) for r, p in planes.items()}
     rule_fail = conf_fail = indep_fail = 0
     for seed in range(1000):
         r = (4, 5, 6)[seed % 3]
@@ -101,22 +104,24 @@ def test_criterion_2_coloring_soundness():
         d = max(2 * g.n_edges / g.n, 0.1)
         params = AdversaryParams(r=r, d=d, beta=0.5, C=1.0, seed=seed)
         v0, rest = split_v0(g, params)
-        parts = random_partition(rest, params.q, seed=seed)
-        col = color_edges(g, v0, parts, plane)
-        for (u, v), c in col.edge_colors.items():
+        parts = random_partition(g.n, rest, params.q, seed=seed).tolist()
+        col = color_edges(g, parts, plane)
+        edges = col.edges.tolist()
+        colors = col.colors.tolist()
+        for (u, v), c in zip(edges, colors):
             if u in v0 or v in v0:
                 ok = c == r
             elif parts[u] == parts[v]:
                 ok = c == 1
             else:
-                ok = c == plane.class_color(plane.line_through(parts[u],
-                                                              parts[v]))
+                x, y = parts[u], parts[v]
+                line = pair_line[r][(x, y) if x < y else (y, x)]
+                ok = c == line // plane.q + 1
             if not ok:
                 rule_fail += 1
         if not check_confinement(col).ok:
             conf_fail += 1
-        color_r = HostGraph(g.n, [e for e, c in col.edge_colors.items()
-                                  if c == r])
+        color_r = HostGraph(g.n, [e for e, c in zip(edges, colors) if c == r])
         if not color_r.is_independent(rest):
             indep_fail += 1
     ok = rule_fail == conf_fail == indep_fail == 0

@@ -55,16 +55,19 @@ def test_split_v0_handshake_bound():
 
 
 def test_random_partition_deterministic():
-    assert random_partition([], 3, seed=1) == {}
-    a = random_partition(list(range(100)), 3, seed=42)
-    b = random_partition(list(range(100)), 3, seed=42)
-    assert a == b
-    assert set(a.values()) <= set(range(1, 10))
+    assert np.array_equal(random_partition(4, [], 3, seed=1), np.zeros(4))
+    a = random_partition(100, list(range(100)), 3, seed=42)
+    b = random_partition(100, list(range(100)), 3, seed=42)
+    assert np.array_equal(a, b)
+    assert set(a.tolist()) <= set(range(1, 10))
+    # vertices outside `rest` are v0 and get part 0
+    c = random_partition(10, [1, 4, 7], 3, seed=42)
+    assert set(np.flatnonzero(c).tolist()) == {1, 4, 7}
 
 
 def test_random_partition_balance():
-    parts = random_partition(list(range(100000)), 3, seed=0)
-    counts = np.bincount(list(parts.values()), minlength=10)[1:]
+    parts = random_partition(100000, list(range(100000)), 3, seed=0)
+    counts = np.bincount(parts, minlength=10)[1:]
     frac = counts / 100000
     assert np.all(np.abs(frac - 1 / 9) < 0.01)
 
@@ -74,14 +77,18 @@ def _colored_instance(seed, r=5, n=60, p=0.1):
     params = AdversaryParams(r=r, d=1.0, beta=0.5, C=1.0, seed=seed)
     plane = build_plane(params.q)
     v0, rest = split_v0(g, params)
-    parts = random_partition(rest, params.q, seed=seed)
-    return g, params, plane, v0, parts, color_edges(g, v0, parts, plane)
+    parts = random_partition(g.n, rest, params.q, seed=seed)
+    return g, params, plane, v0, parts, color_edges(g, parts, plane)
+
+
+def _edge_colors(col):
+    return zip(map(tuple, col.edges.tolist()), col.colors.tolist())
 
 
 def test_color_rules(plane3):
     g, params, plane, v0, parts, col = _colored_instance(seed=1)
     r = params.r
-    for (u, v), c in col.edge_colors.items():
+    for (u, v), c in _edge_colors(col):
         assert 1 <= c <= r
         if u in v0 or v in v0:
             assert c == r
@@ -94,12 +101,13 @@ def test_color_rules(plane3):
 
 def test_every_edge_colored():
     g, _, _, _, _, col = _colored_instance(seed=2)
-    assert set(col.edge_colors) == set(g.edges)
+    assert list(map(tuple, col.edges.tolist())) == g.edges
+    assert col.colors.shape == (g.n_edges,)
 
 
 def test_color_r_leaves_rest_independent():
     g, params, _, v0, _, col = _colored_instance(seed=3)
-    color_r = HostGraph(g.n, [e for e, c in col.edge_colors.items()
+    color_r = HostGraph(g.n, [e for e, c in _edge_colors(col)
                               if c == params.r])
     rest = [v for v in range(g.n) if v not in v0]
     assert color_r.is_independent(rest)
@@ -115,13 +123,13 @@ def test_confinement_passes_on_produced_colorings():
 def test_confinement_fails_on_corrupted_coloring(plane3):
     # two cross-part edges in one color whose parts are not collinear
     g = HostGraph(3, [(0, 1), (1, 2)])
-    parts = {0: 1, 1: 2, 2: 6}
-    col = color_edges(g, set(), parts, plane3)
+    parts = np.array([1, 2, 6])
+    col = color_edges(g, parts, plane3)
     line_a = plane3.line_through(1, 2)
     line_b = plane3.line_through(2, 6)
     assert plane3.class_of(line_a) != plane3.class_of(line_b)
     bad_color = plane3.class_of(line_a) + 1
-    col.edge_colors[(1, 2)] = bad_color       # adversarial recolor
+    col.colors[1] = bad_color       # adversarial recolor of edge (1, 2)
     report = check_confinement(col)
     assert not report.ok
     assert report.failures[0][0] == bad_color
@@ -129,8 +137,8 @@ def test_confinement_fails_on_corrupted_coloring(plane3):
 
 def test_count_lines_degenerate_partition(plane3):
     g = power_of_path(10, 1)
-    parts = {v: 5 for v in range(10)}
-    col = color_edges(g, set(), parts, plane3)
+    parts = np.full(10, 5)
+    col = color_edges(g, parts, plane3)
     counts = count_lines(col, plane3)
     for idx, line in enumerate(plane3.lines):
         expected = g.n_edges if 5 in line else 0
@@ -139,7 +147,7 @@ def test_count_lines_degenerate_partition(plane3):
 
 def test_count_lines_empty_graph(plane3):
     g = HostGraph(6, [])
-    col = color_edges(g, set(), {v: 1 for v in range(6)}, plane3)
+    col = color_edges(g, np.ones(6, dtype=int), plane3)
     counts = count_lines(col, plane3)
     assert counts.a_l.sum() == 0
 
@@ -151,7 +159,7 @@ def test_count_lines_class_sum_dominates_color_edges():
     for cls_idx, cls in enumerate(plane.classes):
         color = cls_idx + 1
         color_edges_count = sum(
-            1 for (u, v), c in col.edge_colors.items()
+            1 for (u, v), c in _edge_colors(col)
             if c == color and u not in v0 and v not in v0)
         assert counts.a_l[list(cls)].sum() >= color_edges_count
 
@@ -202,6 +210,6 @@ def test_find_certificate_deterministic(plane2):
     r2 = find_certificate(g, params, plane2, max_trials=50)
     assert r1.success and r2.success
     assert r1.trials_used == r2.trials_used
-    assert r1.coloring.parts == r2.coloring.parts
-    assert r1.coloring.edge_colors == r2.coloring.edge_colors
+    assert np.array_equal(r1.coloring.parts, r2.coloring.parts)
+    assert np.array_equal(r1.coloring.colors, r2.coloring.colors)
     assert np.array_equal(r1.counts.a_l, r2.counts.a_l)

@@ -3,6 +3,8 @@ import math
 import numpy as np
 import pytest
 
+import reference
+from pathramsey import first_moment
 from pathramsey.first_moment import (THREE_COLOR_REPORTED_C, binding_degree,
                                      c1_ratio, c_domain_min, exact_log_moment,
                                      f_prefactor, g_affine_parts, g_rate,
@@ -54,7 +56,9 @@ def test_affinity_in_d(r):
         d = 0.5 + rng.random() * 200
         A, B = g_affine_parts(r, c)
         scale = max(1.0, abs(A), abs(d * B))
-        assert abs(g_rate(r, c, d) - (A + d * B)) < 1e-11 * scale
+        # g_rate is A + d*B; the oracle writes the rate out term by term
+        assert abs(reference.g_rate(r, c, d) - (A + d * B)) < 1e-11 * scale
+        assert abs(g_rate(r, c, d) - reference.g_rate(r, c, d)) < 1e-11 * scale
 
 
 def test_g_decreasing_in_d_where_binding():
@@ -116,6 +120,14 @@ def test_constraint_binds_at_optimum():
     for r in (3, 4, 5):
         res = optimize_constants(r)
         assert abs(res.g_at_star) < 1e-9
+
+
+def test_optimize_rejects_minimum_at_scan_edge(monkeypatch):
+    # a c*d curve still falling at the scan's upper edge has no bracketed
+    # minimum; returning the edge would be a silently clipped answer
+    monkeypatch.setattr(first_moment, "_cd_objective", lambda r, c: -c)
+    with pytest.raises(ValueError, match="scan edge"):
+        optimize_constants(3)
 
 
 def test_misprint_report():

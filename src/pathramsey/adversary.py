@@ -87,11 +87,10 @@ class CertificateResult:
 
 
 def split_v0(g: HostGraph, params: AdversaryParams):
-    """Vertices of degree >= r^2*d/(1-beta) versus the rest."""
-    thr = params.degree_threshold
-    v0 = {v for v in range(g.n) if len(g.adj[v]) >= thr}
-    rest = [v for v in range(g.n) if v not in v0]
-    return v0, rest
+    """(v0, rest): sorted int arrays of the vertices of degree
+    >= r^2*d/(1-beta) and of all others."""
+    heavy = g.degrees >= params.degree_threshold
+    return np.flatnonzero(heavy), np.flatnonzero(~heavy)
 
 
 def random_partition(n: int, rest, q: int, seed) -> np.ndarray:
@@ -119,11 +118,10 @@ def color_edges(g: HostGraph, parts, plane: AffinePlane) -> Coloring:
     if bad.size:
         v = int(bad[0])
         raise ValueError(f"part label {parts[v]} for vertex {v} outside 0..{q * q}")
-    edges = g.edge_array()
-    pu, pv = parts[edges[:, 0]], parts[edges[:, 1]]
+    pu, pv = parts[g.edges[:, 0]], parts[g.edges[:, 1]]
     colors = np.where(pu == pv, 1, plane.line_of[pu, pv] // q + 1)
     colors[(pu == 0) | (pv == 0)] = q + 2
-    return Coloring(plane, parts, edges, colors.astype(np.int8))
+    return Coloring(plane, parts, g.edges, colors.astype(np.int8))
 
 
 def check_confinement(col: Coloring) -> ConfinementReport:
@@ -205,7 +203,11 @@ def find_certificate(g: HostGraph, params: AdversaryParams, plane: AffinePlane,
     """
     if plane.q != params.q:
         raise ValueError("plane order does not match params")
+    if max_trials is not None and max_trials < 1:
+        raise ValueError(f"max_trials must be >= 1, got {max_trials}")
     n = g.n
+    if n == 0:
+        raise ValueError("graph has no vertices")
     threshold = n * params.d / 2.0
     budget = (params.d / 2.0) * n * params.q ** 2 - params.C * math.sqrt(n)
     if g.n_edges > budget:
@@ -222,12 +224,10 @@ def find_certificate(g: HostGraph, params: AdversaryParams, plane: AffinePlane,
     if max_trials is None:
         max_trials = default_max_trials(g, params, len(rest))
 
-    edge_arr = g.edge_array()
-    rest_arr = np.asarray(rest, dtype=np.int64)
     worst = -math.inf
     for trial in range(max_trials):
-        parts = random_partition(n, rest_arr, params.q, params.seed + trial)
-        a_l = _line_counts_from_arrays(edge_arr, parts, plane)
+        parts = random_partition(n, rest, params.q, params.seed + trial)
+        a_l = _line_counts_from_arrays(g.edges, parts, plane)
         margin = threshold - a_l.max()
         worst = max(worst, margin) if math.isfinite(worst) else margin
         if np.all(a_l < threshold):
@@ -235,7 +235,7 @@ def find_certificate(g: HostGraph, params: AdversaryParams, plane: AffinePlane,
             report = check_confinement(col)
             assert report.ok, "confinement claim failed on a produced coloring"
             assert np.all((col.colors != params.r)
-                          | (parts[edge_arr] == 0).any(axis=1)), \
+                          | (parts[g.edges] == 0).any(axis=1)), \
                 "a color-r edge avoids v0"
             counts = _line_counts(col, a_l, params, n)
             return CertificateResult(True, col, counts, trial + 1,

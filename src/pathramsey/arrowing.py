@@ -55,10 +55,8 @@ def _bipartite_matrix(g: HostGraph):
     if n_left != n_right:
         raise ValueError("expansion check needs a balanced bipartition")
     mat = np.zeros((n_left, n_right), dtype=bool)
-    for u, v in g.edges:
-        if u >= n_left:
-            u, v = v, u
-        mat[u, v - n_left] = True
+    # each row u < v crosses the bipartition, so u is the left end
+    mat[g.edges[:, 0], g.edges[:, 1] - n_left] = True
     return mat, n_left
 
 
@@ -145,11 +143,12 @@ def arrow_bruteforce(g: HostGraph, path_vertices: int, colors: int):
         raise ValueError(f"{colors}^{m} colorings exceed the oracle cap")
     if path_vertices == 1:
         return (g.n >= 1), None
+    edges = list(map(tuple, g.edges.tolist()))
     for assignment in itertools.product(range(colors), repeat=m):
         mono = False
         for color in range(colors):
             adj = {}
-            for (u, v), c in zip(g.edges, assignment):
+            for (u, v), c in zip(edges, assignment):
                 if c == color:
                     adj.setdefault(u, []).append(v)
                     adj.setdefault(v, []).append(u)
@@ -157,6 +156,6 @@ def arrow_bruteforce(g: HostGraph, path_vertices: int, colors: int):
                 mono = True
                 break
         if not mono:
-            witness = {e: c + 1 for e, c in zip(g.edges, assignment)}
+            witness = {e: c + 1 for e, c in zip(edges, assignment)}
             return False, witness
     return True, None

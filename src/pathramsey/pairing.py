@@ -57,34 +57,31 @@ def _box_codes(p: Pairing) -> np.ndarray:
     return lbox * p.side_size + rbox
 
 
+def _graph_of_codes(p: Pairing, codes) -> HostGraph:
+    """Bipartite graph on the boxes with one edge per distinct code
+    lbox * side_size + rbox in `codes`."""
+    s = p.side_size
+    return HostGraph(2 * s, np.stack((codes // s, codes % s + s), axis=1),
+                     bipartition=(s, s))
+
+
 def project(p: Pairing) -> ProjectionSummary:
     """Collapse points to boxes; bipartite pairings cannot create loops."""
     codes, mult = np.unique(_box_codes(p), return_counts=True)
     counts = Counter(mult.tolist())
     simple = max(counts) == 1
-    graph = None
-    if simple:
-        lbox = codes // p.side_size
-        rbox = codes % p.side_size
-        graph = HostGraph(2 * p.side_size,
-                          list(zip(lbox.tolist(), (rbox + p.side_size).tolist())),
-                          bipartition=(p.side_size, p.side_size))
+    graph = _graph_of_codes(p, codes) if simple else None
     return ProjectionSummary(p.side_size, p.degree, dict(counts), simple, graph)
 
 
 def project_support(p: Pairing) -> HostGraph:
     """Underlying simple graph of the projected multigraph."""
-    codes = np.unique(_box_codes(p))
-    lbox = codes // p.side_size
-    rbox = codes % p.side_size
-    return HostGraph(2 * p.side_size,
-                     list(zip(lbox.tolist(), (rbox + p.side_size).tolist())),
-                     bipartition=(p.side_size, p.side_size))
+    return _graph_of_codes(p, _box_codes(p))
 
 
 def is_simple(p: Pairing) -> bool:
-    codes = _box_codes(p)
-    return np.unique(codes).size == codes.size
+    codes = np.sort(_box_codes(p))
+    return not np.any(codes[1:] == codes[:-1])
 
 
 def expected_simplicity(degree: int) -> float:

@@ -1,16 +1,82 @@
 """Slow reference implementations used as oracles by the differential tests.
 
-These are the straightforward forms of the lower-bound kernels: a
-pair -> line dict built from the plane's line listing, a dict coloring
-keyed by edge, a breadth-first search over each color class for
-confinement, and a per-line mask counter.  They share nothing with the
-array kernels in `pathramsey.adversary` beyond `plane.lines` and
+These are the straightforward forms of the array kernels: a set-dedup
+graph constructor and a breadth-first search over adjacency lists for
+`pathramsey.graphs`; and for the lower-bound kernels a pair -> line dict
+built from the plane's line listing, a dict coloring keyed by edge, a
+breadth-first search over each color class for confinement, and a
+per-line mask counter.  They share nothing with the array kernels in
+`pathramsey.graphs` and `pathramsey.adversary` beyond `plane.lines` and
 `plane.classes`.
 """
 
 import math
+from collections import deque
 
 import numpy as np
+
+
+def host_graph(n, edges, bipartition=None, edge_cap=10 ** 7):
+    """(sorted unique (u, v) tuples with u < v, per-vertex degrees) of a
+    simple graph, raising the ValueError `HostGraph` raises on bad input:
+    the first self-loop or out-of-range edge in input order, then the
+    edge cap, then the first edge in sorted order that does not cross
+    the bipartition."""
+    seen = set()
+    clean = []
+    for u, v in edges:
+        u, v = int(u), int(v)
+        if u == v:
+            raise ValueError(f"self-loop at vertex {u}")
+        if not (0 <= u < n and 0 <= v < n):
+            raise ValueError(f"edge ({u}, {v}) outside vertex range")
+        if u > v:
+            u, v = v, u
+        if (u, v) in seen:
+            continue
+        seen.add((u, v))
+        clean.append((u, v))
+    if len(clean) > edge_cap:
+        raise ValueError(f"edge count {len(clean)} exceeds cap {edge_cap}")
+    clean.sort()
+    if bipartition is not None:
+        n_left, n_right = bipartition
+        if n_left + n_right != n:
+            raise ValueError("bipartition sizes must sum to n_vertices")
+        for u, v in clean:
+            if (u < n_left) == (v < n_left):
+                raise ValueError(f"edge ({u}, {v}) does not cross bipartition")
+    degrees = [0] * n
+    for u, v in clean:
+        degrees[u] += 1
+        degrees[v] += 1
+    return clean, degrees
+
+
+def components(n, edges):
+    """Connected components as sorted vertex lists, by breadth-first
+    search from each unvisited vertex in increasing order."""
+    adj = [[] for _ in range(n)]
+    for u, v in edges:
+        adj[u].append(v)
+        adj[v].append(u)
+    seen = [False] * n
+    out = []
+    for s in range(n):
+        if seen[s]:
+            continue
+        seen[s] = True
+        comp = [s]
+        dq = deque([s])
+        while dq:
+            u = dq.popleft()
+            for w in adj[u]:
+                if not seen[w]:
+                    seen[w] = True
+                    comp.append(w)
+                    dq.append(w)
+        out.append(sorted(comp))
+    return out
 
 
 def line_of_pair(plane):

@@ -104,6 +104,7 @@ def test_criterion_2_coloring_soundness():
         d = max(2 * g.n_edges / g.n, 0.1)
         params = AdversaryParams(r=r, d=d, beta=0.5, C=1.0, seed=seed)
         v0, rest = split_v0(g, params)
+        v0 = set(v0.tolist())
         parts = random_partition(g.n, rest, params.q, seed=seed).tolist()
         col = color_edges(g, parts, plane)
         edges = col.edges.tolist()
@@ -138,16 +139,13 @@ def test_criterion_3_concentration():
     params = AdversaryParams(r=r, d=d, beta=beta, C=C, seed=0)
     plane = build_plane(params.q)
     v0, rest = split_v0(g, params)
-    assert not v0          # degree threshold 64 is far above G(n,m) degrees
-    edge_arr = g.edge_array()
-    rest_arr = np.asarray(rest, dtype=np.int64)
+    assert v0.size == 0    # degree threshold 64 is far above G(n,m) degrees
     obs = np.empty((1000, plane.n_lines))
     for seed in range(1000):
         rng = np.random.default_rng(seed)
         part_arr = np.zeros(n, dtype=np.int64)
-        part_arr[rest_arr] = rng.integers(1, params.q ** 2 + 1,
-                                          size=len(rest))
-        obs[seed] = _line_counts_from_arrays(edge_arr, part_arr, plane)
+        part_arr[rest] = rng.integers(1, params.q ** 2 + 1, size=len(rest))
+        obs[seed] = _line_counts_from_arrays(g.edges, part_arr, plane)
     target = m / (r - 2) ** 2
     seed_means = obs.mean(axis=1)
     se = seed_means.std(ddof=1) / math.sqrt(len(seed_means))

@@ -33,16 +33,16 @@ def test_split_v0_star():
     g = HostGraph(101, [(0, i) for i in range(1, 101)])
     params = AdversaryParams(r=4, d=2.0, beta=0.5, C=1.0)
     v0, rest = split_v0(g, params)
-    assert v0 == {0}
-    assert len(rest) == 100
+    assert v0.tolist() == [0]
+    assert rest.tolist() == list(range(1, 101))
 
 
 def test_split_v0_empty_graph():
     g = HostGraph(5, [])
     params = AdversaryParams(r=4, d=2.0, beta=0.5, C=1.0)
     v0, rest = split_v0(g, params)
-    assert v0 == set()
-    assert rest == list(range(5))
+    assert v0.tolist() == []
+    assert rest.tolist() == list(range(5))
 
 
 def test_split_v0_handshake_bound():
@@ -101,7 +101,7 @@ def test_color_rules(plane3):
 
 def test_every_edge_colored():
     g, _, _, _, _, col = _colored_instance(seed=2)
-    assert list(map(tuple, col.edges.tolist())) == g.edges
+    assert np.array_equal(col.edges, g.edges)
     assert col.colors.shape == (g.n_edges,)
 
 
@@ -167,7 +167,8 @@ def test_count_lines_class_sum_dominates_color_edges():
 def test_count_lines_expectation_field():
     g, params, plane, v0, parts, col = _colored_instance(seed=5)
     counts = count_lines(col, plane, params)
-    rest_edges = sum(1 for (u, v) in g.edges if u not in v0 and v not in v0)
+    rest_edges = sum(1 for (u, v) in g.edges.tolist()
+                     if u not in v0 and v not in v0)
     assert counts.expectation == pytest.approx(rest_edges / params.q ** 2)
 
 
@@ -178,6 +179,14 @@ def test_find_certificate_empty_graph(plane2):
         res = find_certificate(g, params, plane2, max_trials=5)
     assert res.success
     assert res.trials_used == 1
+
+
+@pytest.mark.parametrize("max_trials", [0, -3])
+def test_find_certificate_rejects_trials_below_one(plane2, max_trials):
+    g = power_of_path(50, 1)
+    params = AdversaryParams(r=4, d=2.0, beta=0.5, C=1.0, seed=0)
+    with pytest.raises(ValueError, match="max_trials"):
+        find_certificate(g, params, plane2, max_trials=max_trials)
 
 
 def test_find_certificate_path_power(plane2):

@@ -46,7 +46,7 @@ def test_matching_fails():
     S, T = v.witness
     # confirm the witness directly against the edge set
     g = matching_graph(4)
-    edges = set(g.edges)
+    edges = set(map(tuple, g.edges.tolist()))
     assert not any((u, t) in edges for u in S for t in T)
 
 

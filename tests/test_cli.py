@@ -89,6 +89,25 @@ def test_color_failure_exit_code(capsys, tmp_path):
     assert "FAIL" in out
 
 
+@pytest.mark.parametrize("trials", ["0", "-3"])
+def test_color_rejects_trials_below_one(capsys, path_graph_file, trials):
+    code, out, err = run(capsys, "color", "--graph", path_graph_file,
+                         "--r", "4", "--d", "3.97", "--trials", trials)
+    assert code == cli.EXIT_INPUT
+    assert "max_trials" in err
+    assert "FAIL" not in out
+
+
+@pytest.mark.parametrize("text", ["", "# comments only\n\n"])
+def test_color_rejects_graph_without_vertices(capsys, tmp_path, text):
+    p = tmp_path / "empty.txt"
+    p.write_text(text)
+    code, _, err = run(capsys, "color", "--graph", str(p),
+                       "--r", "4", "--d", "2.0")
+    assert code == cli.EXIT_INPUT
+    assert "graph has no vertices" in err
+
+
 def test_bounds_general(capsys):
     code, out, _ = run(capsys, "bounds", "--r", "4", "--n", "10000",
                        "--d", "2.0", "--C", "0")

@@ -60,15 +60,15 @@ def test_tables_match_line_listing(plane):
 def test_color_edges_matches_reference(plane, seed, with_v0, clustered):
     g, v0, parts = _instance(plane, seed, with_v0, clustered)
     col = color_edges(g, parts, plane)
-    assert _as_dict(col) == reference.color_edges(g.edges, v0,
+    assert _as_dict(col) == reference.color_edges(g.edges.tolist(), v0,
                                                   _parts_dict(parts), plane)
 
 
 @pytest.mark.parametrize("seed,with_v0,clustered", CASES)
 def test_line_counts_match_reference(plane, seed, with_v0, clustered):
     g, _, parts = _instance(plane, seed, with_v0, clustered)
-    expected = reference.line_counts(g.edge_array(), parts, plane)
-    assert np.array_equal(_line_counts_from_arrays(g.edge_array(), parts, plane),
+    expected = reference.line_counts(g.edges, parts, plane)
+    assert np.array_equal(_line_counts_from_arrays(g.edges, parts, plane),
                           expected)
     assert np.array_equal(count_lines(color_edges(g, parts, plane)).a_l, expected)
 

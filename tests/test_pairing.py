@@ -4,9 +4,9 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from pathramsey.pairing import (expected_simplicity, is_simple, project,
-                                project_support, sample_pairing,
-                                sample_simple)
+from pathramsey.pairing import (Pairing, _box_codes, expected_simplicity,
+                                is_simple, project, project_support,
+                                sample_pairing, sample_simple)
 
 
 def test_unique_matching():
@@ -14,7 +14,7 @@ def test_unique_matching():
     assert p.matching.tolist() == [0]
     summary = project(p)
     assert summary.simple
-    assert summary.graph.edges == [(0, 1)]
+    assert summary.graph.edges.tolist() == [[0, 1]]
 
 
 def test_determinism():
@@ -50,6 +50,24 @@ def test_forced_double_edge():
     assert not summary.simple
     assert summary.graph is None
     assert summary.multiplicities == {2: 1}
+
+
+def test_is_simple_matches_unique_count():
+    # the verdict of the np.unique form it replaced
+    def unique_form(p):
+        codes = _box_codes(p)
+        return np.unique(codes).size == codes.size
+
+    pairings = [sample_pairing(side, degree, seed)
+                for side, degree in [(1, 1), (1, 3), (2, 1), (5, 1), (4, 2),
+                                     (20, 2), (50, 3), (200, 2)]
+                for seed in range(25)]
+    # box 0 takes left points 0, 1 to right points 0, 1: a forced double edge
+    pairings.append(Pairing(3, 2, np.array([0, 1, 2, 4, 3, 5]), seed=0))
+    verdicts = [is_simple(p) for p in pairings]
+    assert verdicts == [unique_form(p) for p in pairings]
+    assert all(verdicts[:25]) and not any(verdicts[25:50])
+    assert not verdicts[-1]
 
 
 def test_projection_regularity():
